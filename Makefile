@@ -7,7 +7,7 @@ FUZZTIME ?= 5s
 BENCH_SCHEMA ?= tmesh-bench/v1
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: ci build vet test race bench bench-rekey bench-hot bench-mem bench-all soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
+.PHONY: ci build vet test race perfbench-check bench bench-rekey bench-hot bench-mem bench-all soak-short soak-transport soak-metrics soak-scale soak-multigroup soak-slo trace-audit fuzz
 
 # ci is the full verification gate: static checks, the race detector
 # over the whole tree (the parallel experiment harness in internal/exp
@@ -19,9 +19,10 @@ COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 # hot-path benchmark gate (the compiled hop filter must stay at
 # 0 allocs/op), the memory-budget gate, the N=100k scale soak, the
 # multi-group tenancy soak (16 groups on one shared pool, 100k-join
-# flash crowd, cross-width replay), and the SLO soak (per-tenant
-# verdict stream schema-checked, exposition format golden-pinned).
-ci: vet race soak-transport fuzz trace-audit bench-hot bench-mem soak-scale soak-multigroup soak-slo
+# flash crowd, cross-width replay), the SLO soak (per-tenant verdict
+# stream schema-checked, exposition format golden-pinned), and the
+# benchmark module's vet and tests.
+ci: vet race perfbench-check soak-transport fuzz trace-audit bench-hot bench-mem soak-scale soak-multigroup soak-slo
 
 build:
 	$(GO) build ./...
@@ -34,6 +35,12 @@ test: build
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-check vets and tests the benchmark module (perfbench/, its
+# own go.mod), which the root `go test ./...` does not reach but which
+# compiles against the pipeline's public configuration API.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # soak-short is the race-enabled chaos soak: the full acceptance
 # scenarios (default config, byte-identical replay, 20% hop loss) with

@@ -24,6 +24,7 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
+	"tmesh/internal/work"
 )
 
 // benchAssign is a reduced ID space that keeps benchmark setup fast while
@@ -561,16 +562,8 @@ func benchDistributeWorld(b *testing.B) (*overlay.Directory, *keytree.Message, *
 		b.Fatal(err)
 	}
 	store := memberstate.NewStore()
-	for _, id := range ids[benchPipelineChurn:] {
-		path, err := tree.PathKeys(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kr, err := keytree.NewKeyring(params, id, path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		store.PutKeyring(id, kr)
+	if err := store.InstallKeyrings(tree, ids[benchPipelineChurn:]); err != nil {
+		b.Fatal(err)
 	}
 	return dir, msg, store
 }
@@ -582,14 +575,15 @@ func benchDistributeWorld(b *testing.B) (*overlay.Directory, *keytree.Message, *
 // versions), so iterations are identical work.
 func benchDistributeRekey(b *testing.B, parallelism int) {
 	dir, msg, store := benchDistributeWorld(b)
-	applier := core.NewApplier(store, parallelism)
+	pool := work.NewPool(parallelism)
+	applier := core.NewApplier(store, pool)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rep, err := split.Rekey(dir, msg, split.Options{
-			Mode:        split.PerEncryption,
-			Collect:     true,
-			Parallelism: parallelism,
+			Mode:    split.PerEncryption,
+			Collect: true,
+			Pool:    pool,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -650,7 +644,7 @@ func BenchmarkHopFilterLegacy(b *testing.B) {
 func BenchmarkHopFilterCompiled(b *testing.B) {
 	dir, msg, _ := benchDistributeWorld(b)
 	subtrees := benchHopSubtrees(b, dir)
-	ix := split.NewIndex(dir.Tree(), msg.Encryptions, runtime.GOMAXPROCS(0))
+	ix := split.NewIndex(dir.Tree(), msg.Encryptions, work.NewPool(0), nil)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -663,11 +657,11 @@ func BenchmarkHopFilterCompiled(b *testing.B) {
 func BenchmarkSplitIndexBuild(b *testing.B) {
 	dir, msg, _ := benchDistributeWorld(b)
 	tree := dir.Tree()
-	workers := runtime.GOMAXPROCS(0)
+	pool := work.NewPool(0)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ix := split.NewIndex(tree, msg.Encryptions, workers)
+		ix := split.NewIndex(tree, msg.Encryptions, pool, nil)
 		benchSink += len(ix.Split(msg.Encryptions, ident.EmptyPrefix))
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
+	"tmesh/internal/work"
 )
 
 // Config parameterises a soak session.
@@ -97,10 +98,10 @@ type Config struct {
 	// the final sweep always runs).
 	FullSweepEvery int
 
-	// RekeyParallelism bounds the worker fan-out of the key-regeneration
-	// stage (keytree.Regenerate) and of the split-index compilation the
-	// distribution ladder performs per rekey. Values <= 1 run
-	// sequentially; either way the rekey messages and split decisions
+	// RekeyParallelism is the width of the work.Pool that runs the
+	// key-regeneration stage (keytree.Regenerate) and the split-index
+	// compilation the distribution ladder performs per rekey. Values
+	// <= 1 run sequentially; either way the rekey messages and split decisions
 	// are byte-identical, so replay comparisons hold across settings.
 	RekeyParallelism int
 
@@ -177,10 +178,10 @@ func DefaultConfig(seed int64) Config {
 }
 
 // rekeyBatch drives the key tree's staged rekey pipeline (mark, then
-// regenerate with the configured fan-out) — the same engine the core
-// Group and the experiment harness use. label, when non-empty, tags the
-// stages with pprof {group, stage} labels.
-func rekeyBatch(tree *keytree.Tree, joins, leaves []ident.ID, parallelism int, label string) (*keytree.Message, error) {
+// regenerate on the tree's pool) — the same engine the core Group and
+// the experiment harness use. label, when non-empty, tags the stages
+// with pprof {group, stage} labels.
+func rekeyBatch(tree *keytree.Tree, joins, leaves []ident.ID, label string) (*keytree.Message, error) {
 	var plan *keytree.BatchPlan
 	var err error
 	obs.WithStage(label, "mark", func() { plan, err = tree.Mark(joins, leaves) })
@@ -188,7 +189,7 @@ func rekeyBatch(tree *keytree.Tree, joins, leaves []ident.ID, parallelism int, l
 		return nil, err
 	}
 	var msg *keytree.Message
-	obs.WithStage(label, "regen", func() { msg, err = tree.Regenerate(plan, parallelism) })
+	obs.WithStage(label, "regen", func() { msg, err = tree.Regenerate(plan, 1) })
 	return msg, err
 }
 
@@ -284,6 +285,9 @@ type Engine struct {
 	// from; mirror tracks bottom clusters for the Appendix B audit.
 	tree   *keytree.Tree
 	mirror *clusterMirror
+	// pool runs regeneration (through the tree's Opts) and the ladder's
+	// split compilation.
+	pool *work.Pool
 
 	// Seed-derived sub-RNGs, one per concern, so adding draws to one
 	// fault class cannot shift every other class's choices.
@@ -370,7 +374,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Obs != nil {
 		profLabel = "chaos"
 	}
-	tree, err := keytree.New(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{Obs: cfg.Obs, Label: profLabel})
+	pool := work.NewPool(max(cfg.RekeyParallelism, 1))
+	tree, err := keytree.New(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{Obs: cfg.Obs, Label: profLabel, Pool: pool})
 	if err != nil {
 		return nil, err
 	}
@@ -387,6 +392,7 @@ func New(cfg Config) (*Engine, error) {
 		dir:             dir,
 		tree:            tree,
 		mirror:          mirror,
+		pool:            pool,
 		memRNG:          rand.New(rand.NewSource(cfg.Seed ^ 0x6d656d)), // "mem"
 		crashRNG:        rand.New(rand.NewSource(cfg.Seed ^ 0x637273)), // "crs"
 		lossRNG:         rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f73)), // "los"
@@ -442,7 +448,7 @@ func New(cfg Config) (*Engine, error) {
 		e.inTree[id.Key()] = true
 	}
 	sort.Slice(initial, func(i, j int) bool { return initial[i].Compare(initial[j]) < 0 })
-	if _, err := rekeyBatch(tree, initial, nil, cfg.RekeyParallelism, profLabel); err != nil {
+	if _, err := rekeyBatch(tree, initial, nil, profLabel); err != nil {
 		return nil, err
 	}
 	if _, err := mirror.process(); err != nil {
@@ -819,7 +825,7 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Compare(leaves[j]) < 0 })
 
 	rekeySpan := e.cfg.Obs.StartSpan("chaos_rekey")
-	msg, err := rekeyBatch(e.tree, joins, leaves, e.cfg.RekeyParallelism, e.profLabel)
+	msg, err := rekeyBatch(e.tree, joins, leaves, e.profLabel)
 	rekeySpan.End()
 	if err != nil {
 		fail(fmt.Errorf("chaos: key tree batch: %w", err))
@@ -859,23 +865,23 @@ func (e *Engine) doRekey(now time.Duration, stats *IntervalStats, fail func(erro
 	var lr *recovery.LadderResult
 	obs.WithStage(e.profLabel, "deliver", func() {
 		lr, err = recovery.DistributeLadder(recovery.LadderConfig{
-			Dir:              e.dir,
-			Sim:              e.sim,
-			StartAt:          now,
-			Mode:             e.cfg.Mode,
-			SplitParallelism: e.cfg.RekeyParallelism,
-			DropHop:          e.dropHop,
-			Alive:            e.mon.Alive,
-			Timeout:          e.cfg.Timeout,
-			RetryBase:        e.cfg.RetryBase,
-			RetryMax:         e.cfg.RetryMax,
-			RetryBudget:      e.cfg.RetryBudget,
-			DropUnicast:      e.dropUnicast,
-			Obs:              e.cfg.Obs,
-			ProfileLabel:     e.profLabel,
-			Trace:            e.curRekeyTrace,
-			Arena:            e.rekeyArena,
-			SplitArena:       e.splitArena,
+			Dir:          e.dir,
+			Sim:          e.sim,
+			StartAt:      now,
+			Mode:         e.cfg.Mode,
+			Pool:         e.pool,
+			DropHop:      e.dropHop,
+			Alive:        e.mon.Alive,
+			Timeout:      e.cfg.Timeout,
+			RetryBase:    e.cfg.RetryBase,
+			RetryMax:     e.cfg.RetryMax,
+			RetryBudget:  e.cfg.RetryBudget,
+			DropUnicast:  e.dropUnicast,
+			Obs:          e.cfg.Obs,
+			ProfileLabel: e.profLabel,
+			Trace:        e.curRekeyTrace,
+			Arena:        e.rekeyArena,
+			SplitArena:   e.splitArena,
 		}, msg)
 	})
 	deliverSpan.End()

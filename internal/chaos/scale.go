@@ -23,13 +23,12 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/memberstate"
 	"tmesh/internal/metrics"
+	"tmesh/internal/work"
 )
 
 // ScaleConfig parameterises one scale soak.
@@ -48,8 +47,9 @@ type ScaleConfig struct {
 	Churn int
 	// Seed drives every random draw.
 	Seed int64
-	// Parallelism bounds the regenerate/apply worker fan-out (values
-	// < 1 mean 1). The report is identical at any setting.
+	// Parallelism is the width of the work.Pool the regenerate and
+	// apply stages run on (values < 1 mean 1). The report is identical
+	// at any setting.
 	Parallelism int
 	// RealCrypto wraps keys with real AES-GCM and maintains a keyring
 	// per member, applying every rekey message end to end. False
@@ -163,10 +163,9 @@ func (r *ScaleReport) String() string {
 // interval loop.
 type scaleWorld struct {
 	cfg       ScaleConfig
-	par       int
 	tree      *keytree.Tree
 	store     *memberstate.Store // nil without RealCrypto
-	ap        *scaleApplier
+	ap        *memberstate.Applier
 	rng       *rand.Rand
 	active    []ident.ID
 	free      []ident.ID // IDs recycled by earlier leaves, reused LIFO
@@ -182,19 +181,17 @@ func newScaleWorld(cfg ScaleConfig) (*scaleWorld, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	par := cfg.Parallelism
-	if par < 1 {
-		par = 1
-	}
+	pool := work.NewPool(max(cfg.Parallelism, 1))
 	tree, err := keytree.New(cfg.Params, seedBytes(cfg.Seed), keytree.Opts{
 		RealCrypto:   cfg.RealCrypto,
 		CapacityHint: cfg.N,
+		Pool:         pool,
 	})
 	if err != nil {
 		return nil, err
 	}
 	w := &scaleWorld{
-		cfg: cfg, par: par, tree: tree,
+		cfg: cfg, tree: tree,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x7363616c)), // "scal"
 		active:    make([]ident.ID, cfg.N),
 		nextFresh: cfg.N,
@@ -210,20 +207,18 @@ func newScaleWorld(cfg ScaleConfig) (*scaleWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	msg, err := tree.Regenerate(plan, par)
+	msg, err := tree.Regenerate(plan, 1) // the pool in Opts supersedes the width
 	if err != nil {
 		return nil, err
 	}
 	w.setupCost = msg.Cost()
 	if cfg.RealCrypto {
 		w.store = memberstate.NewStoreSized(cfg.N + cfg.Churn)
-		for _, id := range w.active {
-			if err := scaleInitKeyring(tree, w.store, id); err != nil {
-				return nil, err
-			}
+		if err := w.store.InstallKeyrings(tree, w.active); err != nil {
+			return nil, err
 		}
+		w.ap = memberstate.NewApplier(w.store, pool, "")
 	}
-	w.ap = newScaleApplier(cfg.Params, w.store, par)
 	return w, nil
 }
 
@@ -268,20 +263,18 @@ func (w *scaleWorld) step() (cost int, updated int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	msg, err := w.tree.Regenerate(plan, w.par)
+	msg, err := w.tree.Regenerate(plan, 1)
 	if err != nil {
 		return 0, 0, err
 	}
 	if w.store != nil {
 		// Survivors apply the multicast message; joiners get their
 		// path keys by unicast, as at build-up.
-		if updated, err = w.ap.apply(msg, w.active); err != nil {
+		if updated, err = w.ap.Apply(msg, w.active); err != nil {
 			return 0, 0, err
 		}
-		for _, id := range joins {
-			if err := scaleInitKeyring(w.tree, w.store, id); err != nil {
-				return 0, 0, err
-			}
+		if err := w.store.InstallKeyrings(w.tree, joins); err != nil {
+			return 0, 0, err
 		}
 	}
 	w.active = append(w.active, joins...)
@@ -318,7 +311,7 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 		rep.KeysUpdated += updated
 
 		if w.store != nil && cfg.Verify > 0 {
-			if v := scaleVerify(w.tree, w.store, w.active, cfg.Verify); v != "" {
+			if v := w.store.VerifyKeyrings(w.tree, w.active, cfg.Verify); v != "" {
 				rep.Violations = append(rep.Violations, fmt.Sprintf("interval %d: %s", iv, v))
 			}
 		}
@@ -339,147 +332,4 @@ func RunScaleSoak(cfg ScaleConfig) (*ScaleReport, error) {
 	rep.HeapAllocEnd = ms.HeapAlloc
 	rep.BytesPerMember = float64(ms.HeapAlloc) / float64(cfg.N)
 	return rep, nil
-}
-
-func scaleInitKeyring(tree *keytree.Tree, store *memberstate.Store, id ident.ID) error {
-	path, err := tree.PathKeys(id)
-	if err != nil {
-		return err
-	}
-	kr, err := keytree.NewKeyring(tree.Params(), id, path)
-	if err != nil {
-		return err
-	}
-	store.PutKeyring(id, kr)
-	return nil
-}
-
-// scaleApplier applies a rekey message to every member by indexing the
-// message's encryptions by their encrypting-key ID once, then handing
-// each member the at-most-depth+1 encryptions on its own path as a
-// small synthetic message. The index map and per-worker scratch are
-// reused across intervals, so steady-state apply allocates nothing
-// proportional to the group.
-type scaleApplier struct {
-	params ident.Params
-	store  *memberstate.Store
-	par    int
-	encIdx map[string]int32
-}
-
-func newScaleApplier(params ident.Params, store *memberstate.Store, par int) *scaleApplier {
-	return &scaleApplier{params: params, store: store, par: par,
-		encIdx: make(map[string]int32, 1024)}
-}
-
-func (a *scaleApplier) apply(msg *keytree.Message, members []ident.ID) (int64, error) {
-	clear(a.encIdx)
-	full := false // fall back to full-message scans on duplicate enc IDs
-	for i, e := range msg.Encryptions {
-		k := e.ID.Key()
-		if _, dup := a.encIdx[k]; dup {
-			full = true
-			break
-		}
-		a.encIdx[k] = int32(i)
-	}
-
-	var total int64
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < a.par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mini := keytree.Message{Interval: msg.Interval}
-			scratch := make([]keycrypt.Encryption, 0, a.params.Digits+1)
-			var updated int64
-			var err error
-			for i := w; i < len(members) && err == nil; i += a.par {
-				id := members[i]
-				kr := a.store.Keyring(id)
-				if kr == nil {
-					err = fmt.Errorf("member %v has no keyring", id)
-					break
-				}
-				var n int
-				if full {
-					n, err = kr.Apply(msg)
-				} else {
-					scratch = scratch[:0]
-					for l := 0; l <= a.params.Digits; l++ {
-						if idx, ok := a.encIdx[id.Prefix(l).Key()]; ok {
-							scratch = append(scratch, msg.Encryptions[idx])
-						}
-					}
-					if len(scratch) == 0 {
-						continue
-					}
-					mini.Encryptions = scratch
-					n, err = kr.Apply(&mini)
-				}
-				updated += int64(n)
-			}
-			mu.Lock()
-			total += updated
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	return total, firstErr
-}
-
-// VerifyKeyrings spot-checks up to `sample` member keyrings, spread
-// evenly across the group, against the server tree: every path key must
-// match the tree's current key at that level. It returns an empty
-// string when all sampled keyrings agree — the coverage check shared by
-// the scale soak here and the multi-group soak in internal/grouphost.
-func VerifyKeyrings(tree *keytree.Tree, store *memberstate.Store, members []ident.ID, sample int) string {
-	return scaleVerify(tree, store, members, sample)
-}
-
-// scaleVerify spot-checks up to `sample` member keyrings, spread evenly
-// across the group, against the server tree: every path key must match
-// the tree's current key and version at that level. It returns an empty
-// string when all sampled keyrings agree.
-func scaleVerify(tree *keytree.Tree, store *memberstate.Store, members []ident.ID, sample int) string {
-	if sample > len(members) {
-		sample = len(members)
-	}
-	if sample == 0 {
-		return ""
-	}
-	stride := len(members) / sample
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 0; i < sample; i++ {
-		id := members[i*stride]
-		kr := store.Keyring(id)
-		if kr == nil {
-			return fmt.Sprintf("member %v has no keyring", id)
-		}
-		for l := 0; l <= tree.Params().Digits; l++ {
-			p := id.Prefix(l)
-			var want keycrypt.Key
-			var found bool
-			if l == tree.Params().Digits {
-				want, found = tree.IndividualKey(id)
-			} else {
-				want, _, found = tree.KeyOf(p)
-			}
-			if !found {
-				return fmt.Sprintf("tree has no key at %v on %v's path", p, id)
-			}
-			got, ok := kr.Key(p)
-			if !ok || got != want {
-				return fmt.Sprintf("member %v disagrees with the tree at level %d", id, l)
-			}
-		}
-	}
-	return ""
 }

@@ -56,19 +56,18 @@ type Config struct {
 	// SplitMode is the default rekey transport mode; zero defaults to
 	// per-encryption splitting.
 	SplitMode split.Mode
-	// Parallelism bounds the worker count of the pipeline's crypto and
-	// compile stages (key regeneration across level-1 subtrees,
-	// split-index compilation before the multicast, keyring apply
-	// across delivered users). Values <= 1 run sequentially. The rekey
-	// messages, reports, and resulting member state are byte-identical
-	// at any setting.
+	// Parallelism is the width of the group's own work.Pool, which runs
+	// the pipeline's crypto and compile stages (key regeneration across
+	// level-1 subtrees, split-index compilation before the multicast,
+	// keyring apply across delivered users). Values <= 1 run
+	// sequentially. The rekey messages, reports, and resulting member
+	// state are byte-identical at any setting.
 	Parallelism int
-	// Pool, when set, supplies the pipeline's worker goroutines from a
-	// shared work.Pool instead of per-group fan-out — the tenancy mode
-	// a grouphost uses so G groups rekeying over one topology draw on
-	// one set of workers. Parallelism is then superseded by the pool's
-	// width; determinism is unchanged (the pool preserves the same
-	// disjoint-write discipline).
+	// Pool, when set, replaces the group's own pool with a shared one —
+	// the tenancy mode a grouphost uses so G groups rekeying over one
+	// topology draw on one set of workers. Parallelism is then
+	// superseded by the pool's width; determinism is unchanged (the pool
+	// preserves the same disjoint-write discipline).
 	Pool *work.Pool
 	// Obs is the optional telemetry registry: per-stage spans
 	// (mark/regen/deliver/apply) and pipeline counters land there. Nil
@@ -127,6 +126,9 @@ func NewGroup(cfg Config) (*Group, error) {
 	}
 	if cfg.SplitMode == 0 {
 		cfg.SplitMode = split.PerEncryption
+	}
+	if cfg.Pool == nil {
+		cfg.Pool = work.NewPool(max(cfg.Parallelism, 1))
 	}
 
 	dir, err := overlay.NewDirectory(cfg.Assign.Params, cfg.K, cfg.Net, cfg.ServerHost)
@@ -216,17 +218,8 @@ func (g *Group) Leave(id ident.ID) error {
 }
 
 // Parallelism returns the effective worker bound of the pipeline's
-// crypto stages (always >= 1): the shared pool's width when a pool is
-// injected, the configured Parallelism otherwise.
-func (g *Group) Parallelism() int {
-	if g.cfg.Pool != nil {
-		return g.cfg.Pool.Workers()
-	}
-	if g.cfg.Parallelism > 1 {
-		return g.cfg.Parallelism
-	}
-	return 1
-}
+// crypto stages (always >= 1): the width of the pool they run on.
+func (g *Group) Parallelism() int { return g.cfg.Pool.Workers() }
 
 // ProcessInterval ends the current rekey interval: the batched joins and
 // leaves are applied to the key tree (pipeline stages mark + regen) and
@@ -338,9 +331,9 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 		return nil, errors.New("core: nil rekey message")
 	}
 	opts := split.Options{
-		Mode:        g.cfg.SplitMode,
-		Parallelism: g.Parallelism(),
-		Obs:         g.cfg.Obs,
+		Mode: g.cfg.SplitMode,
+		Pool: g.cfg.Pool,
+		Obs:  g.cfg.Obs,
 	}
 	if g.clusters != nil {
 		// Footnote 8: route rekey hops of the bottom row to the
@@ -366,7 +359,7 @@ func (g *Group) DistributeRekey(msg *keytree.Message) (*split.Report, error) {
 		return nil, err
 	}
 	if g.cfg.RealCrypto {
-		applier := &storeApplier{store: g.members, parallelism: g.Parallelism(), pool: g.cfg.Pool, obs: g.cfg.Obs, label: g.cfg.Label}
+		applier := &storeApplier{store: g.members, pool: g.cfg.Pool, obs: g.cfg.Obs, label: g.cfg.Label}
 		applySpan := g.cfg.Obs.StartSpan("core_apply")
 		err := applier.Apply(msg.Interval, rep.Deliveries)
 		applySpan.End()

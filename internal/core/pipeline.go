@@ -11,8 +11,8 @@
 // Group internals. The two crypto-heavy stages parallelize: regen fans
 // out across level-1 ID subtrees (Lemma 3 makes them independent rekey
 // units) inside keytree.Regenerate, and apply fans out across delivered
-// users via the bounded worker pool below. Determinism contract: with a
-// fixed seed, every stage's output is byte-identical at parallelism 1
+// users; both run on the group's work.Pool. Determinism contract: with a
+// fixed seed, every stage's output is byte-identical at pool width 1
 // or N.
 package core
 
@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"tmesh/internal/ident"
 	"tmesh/internal/keytree"
@@ -38,7 +36,7 @@ type Marker interface {
 
 // Regenerator is the key-regeneration stage: it turns a batch plan into
 // the interval's rekey message, fanning crypto work out across up to
-// `parallelism` workers.
+// `parallelism` workers (a pool set on the tree supersedes the width).
 type Regenerator interface {
 	Regenerate(plan *keytree.BatchPlan, parallelism int) (*keytree.Message, error)
 }
@@ -92,30 +90,28 @@ func (e *ApplyError) Unwrap() error {
 }
 
 // storeApplier applies deliveries to keyrings held in a sharded member
-// store, fanning out across users with a bounded worker pool. Users
-// without a keyring (non-leaders in cluster mode, or plain-crypto runs)
-// are skipped.
+// store, fanning out across users on a work.Pool. Users without a
+// keyring (non-leaders in cluster mode, or plain-crypto runs) are
+// skipped.
 type storeApplier struct {
-	store       *memberstate.Store
-	parallelism int
-	// pool, when set, supplies the fan-out goroutines instead of
-	// per-call spawning (shared-tenancy mode); parallelism is then
-	// superseded by the pool's width.
+	store *memberstate.Store
+	// pool runs the per-user fan-out; nil applies inline.
 	pool *work.Pool
 	// obs, when non-nil, counts applied users and skipped deliveries;
 	// workers update the hoisted counters lock-free.
 	obs *obs.Registry
 	// label, when non-empty, wraps each worker's slot in the pprof
-	// label set {group=label, stage=apply}, so apply-stage CPU on the
-	// shared pool's long-lived workers attributes to the tenant.
+	// label set {group=label, stage=apply}, so apply-stage CPU on a
+	// shared pool's helpers attributes to the tenant.
 	label string
 }
 
 // NewApplier returns the pipeline's apply stage over a member store,
-// usable standalone (benchmarks, alternative drivers) exactly as the
-// Group uses it internally.
-func NewApplier(store *memberstate.Store, parallelism int) Applier {
-	return &storeApplier{store: store, parallelism: parallelism}
+// fanned out on the pool (nil applies inline), usable standalone
+// (benchmarks, alternative drivers) exactly as the Group uses it
+// internally.
+func NewApplier(store *memberstate.Store, pool *work.Pool) Applier {
+	return &storeApplier{store: store, pool: pool}
 }
 
 // Apply implements Applier. Deliveries are first grouped per user in
@@ -132,14 +128,6 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 			order = append(order, d.To)
 		}
 		byUser[key] = append(byUser[key], d)
-	}
-
-	workers := a.parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(order) {
-		workers = len(order)
 	}
 
 	appliedC := a.obs.Counter("core_apply_users")
@@ -165,42 +153,17 @@ func (a *storeApplier) Apply(interval uint64, deliveries []split.Delivery) error
 		}
 	}
 
-	if a.pool != nil {
-		a.pool.Run(len(order), func(_ int, next func() (int, bool)) {
-			obs.WithStage(a.label, "apply", func() {
-				for {
-					i, ok := next()
-					if !ok {
-						return
-					}
-					applyUser(i)
+	a.pool.Run(len(order), func(_ int, next func() (int, bool)) {
+		obs.WithStage(a.label, "apply", func() {
+			for {
+				i, ok := next()
+				if !ok {
+					return
 				}
-			})
+				applyUser(i)
+			}
 		})
-	} else if workers <= 1 {
-		for i := range order {
-			applyUser(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				obs.WithStage(a.label, "apply", func() {
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(order) {
-							return
-						}
-						applyUser(i)
-					}
-				})
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	var failed []int
 	for i, err := range errs {

@@ -261,7 +261,7 @@ func TestApplyErrorAggregation(t *testing.T) {
 		var encs = msg.Encryptions
 		deliveries = append(deliveries, split.Delivery{To: id, Level: 1, Encryptions: encs})
 	}
-	applier := &storeApplier{store: store, parallelism: 4}
+	applier := &storeApplier{store: store, pool: work.NewPool(4)}
 	err = applier.Apply(msg.Interval, deliveries)
 	if err == nil {
 		t.Fatal("corrupted encryptions should fail to apply")

@@ -268,7 +268,7 @@ func runCongestionScenario(cfg CongestionConfig, dir *overlay.Directory, msg *ke
 			SizeOf:         func(encs []keycrypt.Encryption) int { return len(encs) },
 		}
 		if scenario == "rekey-split" {
-			rcfg.SplitHop = split.NewIndex(dir.Tree(), msg.Encryptions, 1).Split
+			rcfg.SplitHop = split.NewIndex(dir.Tree(), msg.Encryptions, nil, nil).Split
 		}
 		rekeyRes, err = tmesh.Multicast(rcfg, msg.Encryptions)
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tmesh/internal/work"
 )
 
 // Progress receives one report per completed simulation unit (a run,
@@ -54,12 +56,13 @@ func workersFor(requested, units int) int {
 	return w
 }
 
-// forEachUnit executes fn(unit) for unit = 0..n-1 on at most workers
-// goroutines. Units must be independent: each derives its own RNG from
-// its index and writes results only to its own index-addressed slot, so
-// merged output is identical to the sequential path regardless of
-// scheduling. progress, when non-nil, is called once per completed unit
-// (serialised, but not in unit order when workers > 1).
+// forEachUnit executes fn(unit) for unit = 0..n-1 on a work.Pool of at
+// most workers goroutines. Units must be independent: each derives its
+// own RNG from its index and writes results only to its own
+// index-addressed slot, so merged output is identical to the sequential
+// path regardless of scheduling. progress, when non-nil, is called once
+// per successfully completed unit (serialised, but not in unit order
+// when workers > 1).
 //
 // Wall-clock discipline: the elapsed times handed to progress are the
 // ONLY wall-clock reads in the runners, they exist solely for stderr
@@ -74,54 +77,27 @@ func forEachUnit(n, workers int, progress Progress, fn func(unit int) error) err
 	if n <= 0 {
 		return nil
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for unit := 0; unit < n; unit++ {
+	errs := make([]error, n)
+	var progressMu sync.Mutex
+	work.NewPool(workers).Run(n, func(_ int, next func() (int, bool)) {
+		for {
+			unit, ok := next()
+			if !ok {
+				return
+			}
 			var start time.Time
 			if progress != nil {
 				start = time.Now()
 			}
-			if err := fn(unit); err != nil {
-				return err
-			}
-			if progress != nil {
-				progress(unit, time.Since(start))
+			errs[unit] = fn(unit)
+			if errs[unit] == nil && progress != nil {
+				elapsed := time.Since(start)
+				progressMu.Lock()
+				progress(unit, elapsed)
+				progressMu.Unlock()
 			}
 		}
-		return nil
-	}
-	errs := make([]error, n)
-	var (
-		next       atomic.Int64
-		progressMu sync.Mutex
-		wg         sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				unit := int(next.Add(1)) - 1
-				if unit >= n {
-					return
-				}
-				var start time.Time
-				if progress != nil {
-					start = time.Now()
-				}
-				errs[unit] = fn(unit)
-				if errs[unit] == nil && progress != nil {
-					elapsed := time.Since(start)
-					progressMu.Lock()
-					progress(unit, elapsed)
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -42,7 +42,9 @@ func TestForEachUnitRunsEveryUnit(t *testing.T) {
 func TestForEachUnitReportsLowestError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	for _, workers := range []int{1, 4} {
+		var attempted atomic.Int32
 		err := forEachUnit(8, workers, nil, func(unit int) error {
+			attempted.Add(1)
 			switch unit {
 			case 2:
 				return errLow
@@ -53,6 +55,9 @@ func TestForEachUnitReportsLowestError(t *testing.T) {
 		})
 		if !errors.Is(err, errLow) {
 			t.Errorf("workers=%d: err = %v, want the lowest-unit error", workers, err)
+		}
+		if n := attempted.Load(); n != 8 {
+			t.Errorf("workers=%d: %d of 8 units attempted, want all", workers, n)
 		}
 	}
 }

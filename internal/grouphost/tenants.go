@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"tmesh/internal/assign"
-	"tmesh/internal/chaos"
 	"tmesh/internal/core"
 	"tmesh/internal/ident"
-	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
 	"tmesh/internal/memberstate"
 	"tmesh/internal/obs"
@@ -274,7 +272,7 @@ type keyTenant struct {
 	params ident.Params
 	tree   *keytree.Tree
 	store  *memberstate.Store
-	pool   *work.Pool
+	ap     *memberstate.Applier
 
 	cursor        int
 	pendingJoins  []int        // schedule host indices, arrival order
@@ -287,8 +285,6 @@ type keyTenant struct {
 	lastCost      int
 	lastUpdated   int64
 	lastSurvivors int
-
-	encIdx map[string]int32 // reused apply index
 }
 
 func newKeyTenant(label string, spec GroupSpec, sched *workload.Schedule, hostSeed int64, pool *work.Pool, reg *obs.Registry) (tenant, error) {
@@ -309,17 +305,17 @@ func newKeyTenant(label string, spec GroupSpec, sched *workload.Schedule, hostSe
 	if err != nil {
 		return nil, err
 	}
+	store := memberstate.NewStoreSized(sched.Hosts)
 	return &keyTenant{
-		label:     label,
-		spec:      spec,
-		sched:     sched,
-		params:    params,
-		tree:      tree,
-		store:     memberstate.NewStoreSized(sched.Hosts),
-		pool:      pool,
+		label:      label,
+		spec:       spec,
+		sched:      sched,
+		params:     params,
+		tree:       tree,
+		store:      store,
+		ap:         memberstate.NewApplier(store, pool, label),
 		pendingSet: make(map[int]bool),
 		activeIdx:  make(map[int]bool, sched.Hosts),
-		encIdx:     make(map[string]int32, 1024),
 	}, nil
 }
 
@@ -410,13 +406,15 @@ func (t *keyTenant) flush() (int, error) {
 	}
 	var updated int64
 	obs.WithStage(t.label, "apply", func() {
-		updated, err = t.applyAll(msg, survivors)
+		updated, err = t.ap.Apply(msg, survivors)
 	})
 	if err != nil {
 		return 0, err
 	}
+	// Join-time unicasts of path keys: the key plane's delivery stage
+	// (there is no multicast transport in this profile).
 	obs.WithStage(t.label, "deliver", func() {
-		err = t.deliverJoins(joins)
+		err = t.store.InstallKeyrings(t.tree, joins)
 	})
 	if err != nil {
 		return 0, err
@@ -428,23 +426,6 @@ func (t *keyTenant) flush() (int, error) {
 	t.lastUpdated = updated
 	t.lastSurvivors = len(survivors)
 	return msg.Cost(), nil
-}
-
-// deliverJoins unicasts join-time path keys: the key plane's delivery
-// stage (there is no multicast transport in this profile).
-func (t *keyTenant) deliverJoins(joins []ident.ID) error {
-	for _, id := range joins {
-		path, err := t.tree.PathKeys(id)
-		if err != nil {
-			return err
-		}
-		kr, err := keytree.NewKeyring(t.params, id, path)
-		if err != nil {
-			return err
-		}
-		t.store.PutKeyring(id, kr)
-	}
-	return nil
 }
 
 func (t *keyTenant) idsOf(indices []int) ([]ident.ID, error) {
@@ -468,90 +449,6 @@ func (t *keyTenant) members() ([]ident.ID, error) {
 	}
 	sort.Ints(idx)
 	return t.idsOf(idx)
-}
-
-// applyAll distributes the rekey message to every member: encryptions
-// are indexed by their encrypting-key ID once, then each member applies
-// the at-most-depth+1 entries on its own path, fanned out across the
-// shared pool (same discipline as the chaos scale applier, drawing on
-// the host-wide workers instead of private goroutines).
-func (t *keyTenant) applyAll(msg *keytree.Message, members []ident.ID) (int64, error) {
-	if len(members) == 0 || msg.Cost() == 0 {
-		return 0, nil
-	}
-	clear(t.encIdx)
-	full := false
-	for i, e := range msg.Encryptions {
-		k := e.ID.Key()
-		if _, dup := t.encIdx[k]; dup {
-			full = true
-			break
-		}
-		t.encIdx[k] = int32(i)
-	}
-
-	width := t.pool.Workers()
-	counts := make([]int64, width)
-	errs := make([]error, width)
-	t.pool.Run(len(members), func(slot int, next func() (int, bool)) {
-		// Label the worker goroutine for the duration of this slot's
-		// work, so apply-stage CPU attributes to the tenant even when
-		// it runs on the shared pool's long-lived workers.
-		obs.WithStage(t.label, "apply", func() { t.applySlot(msg, members, full, counts, errs, slot, next) })
-	})
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	for _, err := range errs {
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// applySlot is one pool worker's share of applyAll.
-func (t *keyTenant) applySlot(msg *keytree.Message, members []ident.ID, full bool, counts []int64, errs []error, slot int, next func() (int, bool)) {
-	mini := keytree.Message{Interval: msg.Interval}
-	scratch := make([]keycrypt.Encryption, 0, t.params.Digits+1)
-	for {
-		i, ok := next()
-		if !ok {
-			return
-		}
-		if errs[slot] != nil {
-			continue // drain after a slot-level failure
-		}
-		id := members[i]
-		kr := t.store.Keyring(id)
-		if kr == nil {
-			errs[slot] = fmt.Errorf("member %v has no keyring", id)
-			continue
-		}
-		var n int
-		var err error
-		if full {
-			n, err = kr.Apply(msg)
-		} else {
-			scratch = scratch[:0]
-			for l := 0; l <= t.params.Digits; l++ {
-				if idx, ok := t.encIdx[id.Prefix(l).Key()]; ok {
-					scratch = append(scratch, msg.Encryptions[idx])
-				}
-			}
-			if len(scratch) == 0 {
-				continue
-			}
-			mini.Encryptions = scratch
-			n, err = kr.Apply(&mini)
-		}
-		if err != nil {
-			errs[slot] = fmt.Errorf("member %v: %w", id, err)
-			continue
-		}
-		counts[slot] += int64(n)
-	}
 }
 
 // audit checks the five invariants on the key plane. The overlay,
@@ -579,7 +476,7 @@ func (t *keyTenant) audit() []string {
 	if sample <= 0 {
 		sample = 64
 	}
-	if v := chaos.VerifyKeyrings(t.tree, t.store, members, sample); v != "" {
+	if v := t.store.VerifyKeyrings(t.tree, members, sample); v != "" {
 		vs = append(vs, "coverage: "+v)
 	}
 	if serverGK, ok := t.tree.GroupKey(); ok {

@@ -35,8 +35,6 @@ package keytree
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tmesh/internal/ident"
@@ -61,16 +59,15 @@ type Opts struct {
 	// expected member count, so large soaks pay for growth once instead
 	// of through repeated reallocation. Zero is fine for small trees.
 	CapacityHint int
-	// Pool, when set, supplies the worker goroutines for Regenerate's
-	// subtree fan-out instead of per-call goroutines — the sharing mode
-	// a grouphost uses so many trees draw on one set of workers. The
-	// parallelism argument to Regenerate is then superseded by the
+	// Pool, when set, runs Regenerate's subtree fan-out — the sharing
+	// mode a grouphost uses so many trees draw on one set of workers.
+	// The parallelism argument to Regenerate is then superseded by the
 	// pool's width. The message stays byte-identical either way.
 	Pool *work.Pool
 	// Label, when non-empty, wraps each Regenerate worker's run in the
 	// pprof label set {group=Label, stage=regen}, so regen CPU — even
-	// on shared long-lived pool workers — attributes to the tenant in
-	// -pprof profiles. Profiling-only; never influences the message.
+	// on a shared pool's helpers — attributes to the tenant in -pprof
+	// profiles. Profiling-only; never influences the message.
 	Label string
 }
 
@@ -419,10 +416,11 @@ func (t *Tree) Mark(joins, leaves []ident.ID) (*BatchPlan, error) {
 // one-encryption-per-child rule), producing the interval's rekey
 // message.
 //
-// parallelism bounds the worker count of both crypto phases (values < 1
-// mean 1). The work fans out across level-1 ID subtrees — the paper's
-// natural unit of independence: by Lemma 3 an encryption generated in
-// one level-1 subtree is only ever needed by users of that subtree, and
+// parallelism is the width of the work.Pool both crypto phases run on
+// (values < 1 mean 1), unless Opts.Pool supplies one. The work fans out
+// across level-1 ID subtrees — the paper's natural unit of
+// independence: by Lemma 3 an encryption generated in one level-1
+// subtree is only ever needed by users of that subtree, and
 // no key on one subtree's paths feeds another's wrapping except through
 // the root, which is handled as its own unit after a barrier. The
 // resulting message is byte-identical at any parallelism: derivation
@@ -437,8 +435,9 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 		return nil, fmt.Errorf("keytree: stale batch plan (plan interval %d, tree interval %d)", plan.Interval, t.interval)
 	}
 	plan.spent = true
-	if parallelism < 1 {
-		parallelism = 1
+	pool := t.opts.Pool
+	if pool == nil {
+		pool = work.NewPool(max(parallelism, 1))
 	}
 
 	// Group the plan's node indices by level-1 subtree; the root (the
@@ -486,60 +485,19 @@ func (t *Tree) Regenerate(plan *BatchPlan, parallelism int) (*Message, error) {
 	// output is byte-identical to the one-shot WrapSeeded, keeping the
 	// message independent of the fan-out.
 	runGroups := func(fn func(indices []int, wr *keycrypt.Wrapper) error) error {
-		if pool := t.opts.Pool; pool != nil {
-			errs := make([]error, len(groupOrder))
-			pool.Run(len(groupOrder), func(_ int, next func() (int, bool)) {
-				obs.WithStage(t.opts.Label, "regen", func() {
-					wr := keycrypt.NewWrapper(t.nonceSeed)
-					for {
-						i, ok := next()
-						if !ok {
-							return
-						}
-						errs[i] = runUnit(fn, t.groupIdx[groupOrder[i]], wr)
-					}
-				})
-			})
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		workers := parallelism
-		if workers > len(groupOrder) {
-			workers = len(groupOrder)
-		}
-		if workers <= 1 {
-			wr := keycrypt.NewWrapper(t.nonceSeed)
-			for _, g := range groupOrder {
-				if err := runUnit(fn, t.groupIdx[g], wr); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		var next atomic.Int64
 		errs := make([]error, len(groupOrder))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				obs.WithStage(t.opts.Label, "regen", func() {
-					wr := keycrypt.NewWrapper(t.nonceSeed)
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(groupOrder) {
-							return
-						}
-						errs[i] = runUnit(fn, t.groupIdx[groupOrder[i]], wr)
+		pool.Run(len(groupOrder), func(_ int, next func() (int, bool)) {
+			obs.WithStage(t.opts.Label, "regen", func() {
+				wr := keycrypt.NewWrapper(t.nonceSeed)
+				for {
+					i, ok := next()
+					if !ok {
+						return
 					}
-				})
-			}()
-		}
-		wg.Wait()
+					errs[i] = runUnit(fn, t.groupIdx[groupOrder[i]], wr)
+				}
+			})
+		})
 		for _, err := range errs {
 			if err != nil {
 				return err

@@ -29,6 +29,7 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
+	"tmesh/internal/work"
 )
 
 // LadderConfig parameterises one rekey distribution over the ladder.
@@ -41,10 +42,10 @@ type LadderConfig struct {
 	StartAt time.Duration
 	// Mode is the splitting mode of the multicast attempt.
 	Mode split.Mode
-	// SplitParallelism bounds the goroutines compiling the multicast's
-	// split index (values <= 1 compile serially); the index contents —
-	// and hence everything downstream — are identical at any setting.
-	SplitParallelism int
+	// Pool runs the compilation of the multicast's split index (nil
+	// compiles inline); the index contents — and hence everything
+	// downstream — are identical at any pool width.
+	Pool *work.Pool
 	// DropHop simulates per-hop loss on the multicast.
 	DropHop func(from, to vnet.HostID) bool
 	// Alive routes the multicast around crashed users and exempts users
@@ -208,7 +209,7 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		ProfileLabel:   cfg.ProfileLabel,
 	}
 	if cfg.Mode == split.PerEncryption {
-		tcfg.SplitHop = split.NewIndexWith(cfg.Dir.Tree(), msg.Encryptions, cfg.SplitParallelism, cfg.SplitArena).Split
+		tcfg.SplitHop = split.NewIndex(cfg.Dir.Tree(), msg.Encryptions, cfg.Pool, cfg.SplitArena).Split
 	}
 	res, err := tmesh.Multicast(tcfg, msg.Encryptions)
 	if err != nil {
@@ -291,7 +292,7 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 			if !alive(id) {
 				continue
 			}
-			needed := neededBy(msg, id)
+			needed := NeededBy(msg, id)
 			if len(needed) == 0 {
 				continue // the interval did not touch this user's path
 			}
@@ -305,14 +306,6 @@ func DistributeLadder(cfg LadderConfig, msg *keytree.Message) (*LadderResult, er
 		}
 	})
 	return out, nil
-}
-
-// NeededBy returns the Lemma 3 slice of a rekey message for one user —
-// the encryptions the user must decrypt to stay current. Exported for
-// auditors that have to decide whether a silent user was actually owed
-// anything this interval.
-func NeededBy(msg *keytree.Message, u ident.ID) []keycrypt.Encryption {
-	return neededBy(msg, u)
 }
 
 // hostOf looks up the current host of a user, reporting whether the

@@ -7,8 +7,70 @@ import (
 
 	"tmesh/internal/eventsim"
 	"tmesh/internal/ident"
+	"tmesh/internal/keytree"
+	"tmesh/internal/overlay"
+	"tmesh/internal/split"
 	"tmesh/internal/vnet"
 )
+
+var tp = ident.Params{Digits: 3, Base: 8}
+
+func buildWorld(t *testing.T, n int, seed int64) (*overlay.Directory, *keytree.Tree, *keytree.Message, []ident.ID) {
+	t.Helper()
+	cfg := vnet.GTITMConfig{
+		TransitDomains:   2,
+		TransitPerDomain: 2,
+		StubsPerTransit:  2,
+		TotalRouters:     120,
+		TotalLinks:       300,
+		AccessDelayMin:   time.Millisecond,
+		AccessDelayMax:   3 * time.Millisecond,
+	}
+	net, err := vnet.NewGTITM(cfg, n+1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := overlay.NewDirectory(tp, 2, net, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := keytree.New(tp, []byte("recovery"), keytree.Opts{RealCrypto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	used := map[string]bool{}
+	var ids []ident.ID
+	for len(ids) < n {
+		id, err := ident.FromInt(tp, rng.Intn(tp.Capacity()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used[id.Key()] {
+			continue
+		}
+		used[id.Key()] = true
+		if err := dir.Join(overlay.Record{Host: vnet.HostID(len(ids) + 1), ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if _, err := tree.Batch(ids, nil); err != nil {
+		t.Fatal(err)
+	}
+	// One churn interval to produce a message.
+	leavers := ids[:3]
+	for _, id := range leavers {
+		if err := dir.Leave(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msg, err := tree.Batch(nil, leavers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, tree, msg, ids[3:]
+}
 
 func TestLadderValidation(t *testing.T) {
 	dir, _, msg, _ := buildWorld(t, 10, 1)
@@ -53,7 +115,7 @@ func TestLadderAllByMulticastWhenLossless(t *testing.T) {
 		t.Errorf("lossless run used recovery: %+v", res)
 	}
 	for _, id := range survivors {
-		if len(neededBy(msg, id)) == 0 {
+		if len(NeededBy(msg, id)) == 0 {
 			continue
 		}
 		if rung, ok := res.RungOf[id.Key()]; !ok || rung != ByMulticast {
@@ -69,7 +131,7 @@ func TestLadderEngagesUnderLoss(t *testing.T) {
 	dir, _, msg, survivors := buildWorld(t, 30, 5)
 	var victim ident.ID
 	for _, id := range survivors {
-		if len(neededBy(msg, id)) > 0 {
+		if len(NeededBy(msg, id)) > 0 {
 			victim = id
 			break
 		}
@@ -106,7 +168,7 @@ func TestLadderEngagesUnderLoss(t *testing.T) {
 	}
 	// Every other surviving member got the key by multicast.
 	for _, id := range survivors {
-		if id.Equal(victim) || len(neededBy(msg, id)) == 0 {
+		if id.Equal(victim) || len(NeededBy(msg, id)) == 0 {
 			continue
 		}
 		if res.RungOf[id.Key()] != ByMulticast {
@@ -121,7 +183,7 @@ func TestLadderFallsBackToResync(t *testing.T) {
 	dir, _, msg, survivors := buildWorld(t, 30, 7)
 	var victim ident.ID
 	for _, id := range survivors {
-		if len(neededBy(msg, id)) > 0 {
+		if len(NeededBy(msg, id)) > 0 {
 			victim = id
 			break
 		}
@@ -192,5 +254,38 @@ func TestLadderDeterministic(t *testing.T) {
 		if b.RungOf[k] != r || a.DeliveredAt[k] != b.DeliveredAt[k] {
 			t.Errorf("user %s differs across identical runs", k)
 		}
+	}
+}
+
+// TestRecoveryWithNoSplit: recovery also composes with unsplit
+// multicast, and each recovered user costs the server only its Lemma 3
+// slice — O(D) encryptions, not a retransmission of the whole message.
+func TestRecoveryWithNoSplit(t *testing.T) {
+	dir, _, msg, _ := buildWorld(t, 25, 4)
+	calls := 0
+	sim := eventsim.New()
+	res, err := DistributeLadder(LadderConfig{
+		Dir: dir, Sim: sim, Mode: split.NoSplit, Timeout: time.Second,
+		RetryBase: time.Second, RetryMax: time.Second, RetryBudget: 1,
+		DropHop: func(from, to vnet.HostID) bool {
+			calls++
+			return calls%4 == 0 // every 4th hop lost
+		},
+	}, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	res.Finish()
+	if res.Multicast.Dropped == 0 || len(res.Recovered) == 0 {
+		t.Fatalf("dropped %d hops, recovered %d users; test is vacuous", res.Multicast.Dropped, len(res.Recovered))
+	}
+	for _, id := range res.Recovered {
+		if rung, ok := res.RungOf[id.Key()]; !ok || rung != ByUnicast {
+			t.Errorf("recovered user %v rung = %v, %v; want unicast", id, rung, ok)
+		}
+	}
+	if perUser := float64(res.ServerUnits) / float64(len(res.Recovered)); perUser > float64(tp.Digits+1) {
+		t.Errorf("avg %.1f recovery encryptions per user exceeds path length %d", perUser, tp.Digits+1)
 	}
 }

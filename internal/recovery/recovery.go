@@ -12,127 +12,21 @@
 // server. The server answers each request with a unicast containing
 // exactly the encryptions that user needs (the Lemma 3 selection), so
 // recovery bandwidth is O(D) encryptions per lost user rather than a
-// retransmission of the full message.
+// retransmission of the full message. DistributeLadder runs the whole
+// exchange, with retries and a resync backstop, on an event simulator.
 package recovery
 
 import (
-	"fmt"
-	"sort"
-	"time"
-
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
 	"tmesh/internal/keytree"
-	"tmesh/internal/overlay"
-	"tmesh/internal/split"
-	"tmesh/internal/tmesh"
-	"tmesh/internal/vnet"
 )
 
-// Config parameterises a rekey distribution with loss and recovery.
-type Config struct {
-	Dir *overlay.Directory
-	// Mode is the splitting mode of the multicast attempt.
-	Mode split.Mode
-	// DropHop simulates loss on the multicast (see tmesh.Config).
-	DropHop func(from, to vnet.HostID) bool
-	// Timeout is how long a user waits for the rekey message before
-	// requesting unicast recovery (measured from the multicast start).
-	Timeout time.Duration
-}
-
-// Result reports one distribute-and-recover round.
-type Result struct {
-	// Multicast is the lossy multicast's bandwidth report.
-	Multicast *split.Report
-	// Recovered lists the users that needed unicast recovery, in ID
-	// order.
-	Recovered []ident.ID
-	// ServerUnits is the number of encryptions the server unicast
-	// during recovery.
-	ServerUnits int
-	// ServerMessages is the number of recovery request/response pairs.
-	ServerMessages int
-	// WorstDelay is the worst-case delay to a recovered user: the
-	// timeout plus the request round trip and response delivery.
-	WorstDelay time.Duration
-}
-
-// Distribute multicasts the rekey message under the loss model and
-// recovers every user that received nothing via server unicast. The
-// returned result accounts both phases.
-func Distribute(cfg Config, msg *keytree.Message) (*Result, error) {
-	if cfg.Dir == nil {
-		return nil, fmt.Errorf("recovery: Dir is required")
-	}
-	if msg == nil {
-		return nil, fmt.Errorf("recovery: nil rekey message")
-	}
-	if cfg.Timeout <= 0 {
-		return nil, fmt.Errorf("recovery: Timeout must be positive, got %v", cfg.Timeout)
-	}
-	mode := cfg.Mode
-	if mode == 0 {
-		mode = split.PerEncryption
-	}
-
-	// Phase 1: lossy multicast. split.Rekey has no loss hook, so run
-	// the underlying transport directly with the splitting filter.
-	tcfg := tmesh.Config[[]keycrypt.Encryption]{
-		Dir:            cfg.Dir,
-		SenderIsServer: true,
-		DropHop:        cfg.DropHop,
-		SizeOf:         func(encs []keycrypt.Encryption) int { return len(encs) },
-	}
-	if mode == split.PerEncryption {
-		tcfg.SplitHop = split.NewIndex(cfg.Dir.Tree(), msg.Encryptions, 1).Split
-	}
-	res, err := tmesh.Multicast(tcfg, msg.Encryptions)
-	if err != nil {
-		return nil, err
-	}
-	rep := &split.Report{
-		ReceivedPerUser:  make(map[string]int, len(res.Users)),
-		ForwardedPerUser: make(map[string]int, len(res.Users)),
-		LinkUnits:        res.LinkUnits,
-		Multicast:        res,
-	}
-	for key, st := range res.Users {
-		rep.ReceivedPerUser[key] = st.UnitsReceived
-		rep.ForwardedPerUser[key] = st.UnitsForwarded
-	}
-
-	// Phase 2: users whose copy never arrived request unicast recovery.
-	out := &Result{Multicast: rep}
-	net := cfg.Dir.Network()
-	server := cfg.Dir.Server().Host()
-	for _, id := range cfg.Dir.IDs() {
-		st := res.Users[id.Key()]
-		if st != nil && st.Received > 0 {
-			continue
-		}
-		needed := neededBy(msg, id)
-		if len(needed) == 0 {
-			continue // nothing to recover: the interval did not touch this user's path
-		}
-		out.Recovered = append(out.Recovered, id)
-		out.ServerUnits += len(needed)
-		out.ServerMessages++
-		rec, _ := cfg.Dir.Record(id)
-		delay := cfg.Timeout + net.OneWay(rec.Host, server) + net.OneWay(server, rec.Host)
-		if delay > out.WorstDelay {
-			out.WorstDelay = delay
-		}
-		rep.ReceivedPerUser[id.Key()] += len(needed)
-	}
-	sort.Slice(out.Recovered, func(i, j int) bool {
-		return out.Recovered[i].Compare(out.Recovered[j]) < 0
-	})
-	return out, nil
-}
-
-// neededBy returns the subset of the message a user needs (Lemma 3).
-func neededBy(msg *keytree.Message, u ident.ID) []keycrypt.Encryption {
+// NeededBy returns the Lemma 3 slice of a rekey message for one user —
+// the encryptions the user must decrypt to stay current. Exported for
+// auditors that have to decide whether a silent user was actually owed
+// anything this interval.
+func NeededBy(msg *keytree.Message, u ident.ID) []keycrypt.Encryption {
 	var out []keycrypt.Encryption
 	for _, e := range msg.Encryptions {
 		if e.NeededBy(u) {

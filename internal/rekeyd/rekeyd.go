@@ -45,6 +45,7 @@ import (
 	"tmesh/internal/split"
 	"tmesh/internal/transport"
 	"tmesh/internal/wire"
+	"tmesh/internal/work"
 )
 
 // PeerOf maps a member ID to its transport routing key.
@@ -64,7 +65,8 @@ type Config struct {
 	// never comes back — it surfaces as dead-in-flight instead of a
 	// hang.
 	ResyncBudget int
-	// SplitParallelism sizes the compiled-index build fan-out.
+	// SplitParallelism is the width of the work.Pool the compiled split
+	// index is built on (values < 1 mean 1).
 	SplitParallelism int
 	// Obs receives daemon counters (nil-safe).
 	Obs *obs.Registry
@@ -416,6 +418,7 @@ type Server struct {
 	tr   transport.Transport
 	sh   *Shared
 	tree *keytree.Tree
+	pool *work.Pool // compiles each interval's split index
 
 	ackMu   sync.Mutex
 	acked   map[uint64]map[string]recovery.Rung // interval -> member -> rung at ack
@@ -438,6 +441,7 @@ func NewServer(cfg Config, tr transport.Transport, sh *Shared, tree *keytree.Tre
 		tr:        tr,
 		sh:        sh,
 		tree:      tree,
+		pool:      work.NewPool(cfg.SplitParallelism),
 		acked:     make(map[uint64]map[string]recovery.Rung),
 		rungNow:   make(map[uint64]map[string]recovery.Rung),
 		waiters:   make(map[uint64]map[string][]chan struct{}),
@@ -531,7 +535,7 @@ func (s *Server) Distribute(msg *keytree.Message, expected []ident.ID) (*Result,
 	// to per-hop re-splitting).
 	var idx *split.Index
 	s.sh.Read(func(dir *overlay.Directory) {
-		idx = split.NewIndex(dir.Tree(), msg.Encryptions, s.cfg.SplitParallelism)
+		idx = split.NewIndex(dir.Tree(), msg.Encryptions, s.pool, nil)
 	})
 	s.sh.PutIndex(msg.Interval, idx)
 

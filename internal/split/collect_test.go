@@ -6,6 +6,7 @@ import (
 
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
+	"tmesh/internal/work"
 )
 
 // TestCollectDeliveries verifies that Collect records one delivery per
@@ -33,7 +34,7 @@ func TestCollectDeliveries(t *testing.T) {
 
 // TestPrefilterEquivalence pins the parallel level-1 prefilter to the
 // plain Filter path: identical reports and deliveries with and without
-// Options.Parallelism.
+// a wide Options.Pool.
 func TestPrefilterEquivalence(t *testing.T) {
 	base := newWorld(t, 40, 6, 6, 42)
 	pref := newWorld(t, 40, 6, 6, 42)
@@ -42,7 +43,7 @@ func TestPrefilterEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefRep, err := Rekey(pref.dir, pref.msg, Options{Mode: PerEncryption, Collect: true, Parallelism: 8})
+	prefRep, err := Rekey(pref.dir, pref.msg, Options{Mode: PerEncryption, Collect: true, Pool: work.NewPool(8)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,10 @@ package split
 
 import (
 	"math/bits"
-	"sync"
 
 	"tmesh/internal/ident"
 	"tmesh/internal/keycrypt"
+	"tmesh/internal/work"
 )
 
 // arenaChunk is the granularity, in items, of the bulk allocations that
@@ -88,10 +88,10 @@ func (a *CompileArena[T]) store(w int, wk *walker[T]) {
 }
 
 // compileTable builds the lookup for all nodes of the tree, fanning the
-// per-level-1-subtree walks out over up to `workers` goroutines. The
+// per-level-1-subtree walks out over the pool (nil compiles inline). The
 // table's contents are a pure function of (tree, items), independent of
-// the worker count and of arena reuse. ar may be nil (allocate fresh).
-func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, workers int, ar *CompileArena[T]) table[T] {
+// the pool width and of arena reuse. ar may be nil (allocate fresh).
+func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, pool *work.Pool, ar *CompileArena[T]) table[T] {
 	if tree == nil || tree.Size() == 0 || len(items) == 0 {
 		// Nothing to compile; lookups fall back to filtering.
 		return table[T]{slices: make(map[string][]T)}
@@ -142,52 +142,41 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, workers int,
 	}
 
 	digits := tree.ChildDigits(ident.EmptyPrefix)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(digits) {
-		workers = len(digits)
-	}
+	width := min(pool.Workers(), len(digits))
 	rootExact := marks[ident.EmptyPrefix.Key()].exact
-	hint := tree.NodeCount()/workers + 8
-	results := make([]map[string][]T, workers)
-	wks := make([]*walker[T], workers)
-	for w := range wks {
-		if wk := ar.walkerFor(w); wk != nil {
+	hint := tree.NodeCount()/width + 8
+	wks := make([]*walker[T], width)
+	pool.Run(len(digits), func(slot int, next func() (int, bool)) {
+		wk := ar.walkerFor(slot)
+		if wk != nil {
 			wk.reset(tree, items, words, marks)
-			wks[w] = wk
+		} else {
+			wk = newWalker(tree, items, words, marks, hint)
+		}
+		wks[slot] = wk
+		// Level-1 nodes inherit the root's exact bits on their path: a
+		// root-ID encryption is a prefix of everything.
+		copyBits(wk.path[1], rootExact)
+		for {
+			i, ok := next()
+			if !ok {
+				return
+			}
+			wk.walk(ident.EmptyPrefix.Child(digits[i]), 1)
+		}
+	})
+	var outs []map[string][]T
+	for slot, wk := range wks {
+		if wk != nil { // nil: the slot's helper was never started
+			ar.store(slot, wk)
+			outs = append(outs, wk.out)
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wk := wks[w]
-			if wk == nil {
-				wk = newWalker(tree, items, words, marks, hint)
-				wks[w] = wk
-			}
-			// Level-1 nodes inherit the root's exact bits on their
-			// path: a root-ID encryption is a prefix of everything.
-			copyBits(wk.path[1], rootExact)
-			for i := w; i < len(digits); i += workers {
-				wk.walk(ident.EmptyPrefix.Child(digits[i]), 1)
-			}
-			results[w] = wk.out
-		}(w)
-	}
-	wg.Wait()
-	if ar != nil {
-		for w, wk := range wks {
-			ar.store(w, wk)
-		}
-	}
-	// The workers' key sets are disjoint (distinct level-1 subtrees), so
-	// a single worker's map can serve as the table directly; merging only
-	// happens for parallel builds.
-	slices := results[0]
-	if workers > 1 {
+	// The walkers' key sets are disjoint (distinct level-1 subtrees), so
+	// when one walker covered the whole tree its map serves as the table
+	// directly; merging only happens when the walk actually fanned out.
+	slices := outs[0]
+	if len(outs) > 1 {
 		if ar != nil {
 			if ar.merged == nil {
 				ar.merged = make(map[string][]T, tree.NodeCount()+1)
@@ -197,7 +186,7 @@ func compileTable[T any](tree *ident.Tree, items []T, ids markFunc, workers int,
 		} else {
 			slices = make(map[string][]T, tree.NodeCount()+1)
 		}
-		for _, m := range results {
+		for _, m := range outs {
 			for k, v := range m {
 				slices[k] = v
 			}
@@ -381,19 +370,14 @@ type Index struct {
 	table table[keycrypt.Encryption]
 }
 
-// NewIndex compiles the split decisions of the message's encryptions,
-// using up to `workers` goroutines (values < 1 mean 1).
-func NewIndex(tree *ident.Tree, encs []keycrypt.Encryption, workers int) *Index {
-	return NewIndexWith(tree, encs, workers, nil)
-}
-
-// NewIndexWith is NewIndex compiling through a reusable arena (nil means
+// NewIndex compiles the split decisions of the message's encryptions on
+// the pool (nil compiles inline), through a reusable arena (nil means
 // allocate fresh). Reusing the arena invalidates every Index previously
 // compiled from it — see CompileArena.
-func NewIndexWith(tree *ident.Tree, encs []keycrypt.Encryption, workers int, ar *CompileArena[keycrypt.Encryption]) *Index {
+func NewIndex(tree *ident.Tree, encs []keycrypt.Encryption, pool *work.Pool, ar *CompileArena[keycrypt.Encryption]) *Index {
 	return &Index{table: compileTable(tree, encs, func(i int, mark func(ident.Prefix)) {
 		mark(encs[i].ID)
-	}, workers, ar)}
+	}, pool, ar)}
 }
 
 // Split returns the encryptions relevant to the subtree — byte-identical
@@ -413,21 +397,16 @@ type PacketIndex struct {
 	table table[Packet]
 }
 
-// NewPacketIndex compiles the packet-level split decisions, using up to
-// `workers` goroutines (values < 1 mean 1).
-func NewPacketIndex(tree *ident.Tree, pkts []Packet, workers int) *PacketIndex {
-	return NewPacketIndexWith(tree, pkts, workers, nil)
-}
-
-// NewPacketIndexWith is NewPacketIndex compiling through a reusable
-// arena (nil means allocate fresh). Reusing the arena invalidates every
-// PacketIndex previously compiled from it — see CompileArena.
-func NewPacketIndexWith(tree *ident.Tree, pkts []Packet, workers int, ar *CompileArena[Packet]) *PacketIndex {
+// NewPacketIndex compiles the packet-level split decisions on the pool
+// (nil compiles inline), through a reusable arena (nil means allocate
+// fresh). Reusing the arena invalidates every PacketIndex previously
+// compiled from it — see CompileArena.
+func NewPacketIndex(tree *ident.Tree, pkts []Packet, pool *work.Pool, ar *CompileArena[Packet]) *PacketIndex {
 	return &PacketIndex{table: compileTable(tree, pkts, func(i int, mark func(ident.Prefix)) {
 		for _, e := range pkts[i] {
 			mark(e.ID)
 		}
-	}, workers, ar)}
+	}, pool, ar)}
 }
 
 // Split returns the packets relevant to the subtree — byte-identical to

@@ -12,6 +12,7 @@ import (
 	"tmesh/internal/obs"
 	"tmesh/internal/obs/trace"
 	"tmesh/internal/tmesh"
+	"tmesh/internal/work"
 )
 
 // randSplitWorld draws a random member tree and message for the
@@ -85,7 +86,7 @@ func TestCompiledIndexMatchesFilter(t *testing.T) {
 		}
 		tree, encs := randSplitWorld(t, rng, params, members, encCount)
 		for _, workers := range []int{1, 8} {
-			ix := NewIndex(tree, encs, workers)
+			ix := NewIndex(tree, encs, work.NewPool(workers), nil)
 			check := func(q ident.Prefix) {
 				got := ix.Split(encs, q)
 				want := Filter(encs, q)
@@ -107,7 +108,7 @@ func TestCompiledIndexMatchesFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	encs := []keycrypt.Encryption{{ID: randPrefixOf(t, rng, params)}}
-	ix := NewIndex(tree, encs, 4)
+	ix := NewIndex(tree, encs, work.NewPool(4), nil)
 	for i := 0; i < 20; i++ {
 		q := randPrefixOf(t, rng, params)
 		if !reflect.DeepEqual(ix.Split(encs, q), Filter(encs, q)) {
@@ -131,7 +132,7 @@ func TestCompileArenaReuseMatchesFilter(t *testing.T) {
 		encCount := rng.Intn(50)
 		tree, encs := randSplitWorld(t, rng, params, members, encCount)
 		workers := []int{1, 8, 3}[trial%3]
-		ix := NewIndexWith(tree, encs, workers, ar)
+		ix := NewIndex(tree, encs, work.NewPool(workers), ar)
 		check := func(q ident.Prefix) {
 			got := ix.Split(encs, q)
 			want := Filter(encs, q)
@@ -153,7 +154,7 @@ func TestCompileArenaReuseMatchesFilter(t *testing.T) {
 		tree, encs := randSplitWorld(t, rng, params, rng.Intn(30)+1, rng.Intn(60))
 		pkts := Packetize(encs, rng.Intn(6)+1)
 		workers := []int{8, 1}[trial%2]
-		ix := NewPacketIndexWith(tree, pkts, workers, par)
+		ix := NewPacketIndex(tree, pkts, work.NewPool(workers), par)
 		tree.Walk(func(p ident.Prefix, _ int) bool {
 			if !reflect.DeepEqual(ix.Split(pkts, p), FilterPackets(pkts, p)) {
 				t.Fatalf("packet trial %d workers %d subtree %v: compiled split diverged",
@@ -181,7 +182,7 @@ func TestCompiledPacketIndexMatchesFilterPackets(t *testing.T) {
 		tree, encs := randSplitWorld(t, rng, params, members, encCount)
 		pkts := Packetize(encs, rng.Intn(6)+1)
 		for _, workers := range []int{1, 8} {
-			ix := NewPacketIndex(tree, pkts, workers)
+			ix := NewPacketIndex(tree, pkts, work.NewPool(workers), nil)
 			check := func(q ident.Prefix) {
 				got := ix.Split(pkts, q)
 				want := FilterPackets(pkts, q)
@@ -205,7 +206,7 @@ func TestCompiledIndexConcurrentSplit(t *testing.T) {
 	params := ident.Params{Digits: 4, Base: 4}
 	rng := rand.New(rand.NewSource(7))
 	tree, encs := randSplitWorld(t, rng, params, 40, 80)
-	ix := NewIndex(tree, encs, 8)
+	ix := NewIndex(tree, encs, work.NewPool(8), nil)
 	var nodes []ident.Prefix
 	tree.Walk(func(p ident.Prefix, _ int) bool { nodes = append(nodes, p); return true })
 	want := make([][]keycrypt.Encryption, len(nodes))
@@ -295,13 +296,13 @@ func legacyRekeyReport(t *testing.T, w *world, mode Mode, packetSize int) *Repor
 // TestRekeyCompiledMatchesLegacyTransport: full-session differential —
 // the compiled Rekey path produces the same reports and the same
 // delivery stream (order and contents) as the legacy per-hop filter, in
-// both splitting modes, at compile parallelism 0 and 8.
+// both splitting modes, at compile pool width 1 and 8.
 func TestRekeyCompiledMatchesLegacyTransport(t *testing.T) {
 	w := newWorld(t, 40, 6, 6, 21)
 	for _, mode := range []Mode{PerEncryption, PerPacket} {
 		want := legacyRekeyReport(t, w, mode, 4)
-		for _, par := range []int{0, 8} {
-			got, err := Rekey(w.dir, w.msg, Options{Mode: mode, PacketSize: 4, Collect: true, Parallelism: par})
+		for _, par := range []int{1, 8} {
+			got, err := Rekey(w.dir, w.msg, Options{Mode: mode, PacketSize: 4, Collect: true, Pool: work.NewPool(par)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,7 +351,7 @@ func TestRekeyCompiledTraceByteIdentical(t *testing.T) {
 		return buf.Bytes()
 	}
 	legacy := run(Filter)
-	compiled := run(NewIndex(w.dir.Tree(), w.msg.Encryptions, 4).Split)
+	compiled := run(NewIndex(w.dir.Tree(), w.msg.Encryptions, work.NewPool(4), nil).Split)
 	if !bytes.Equal(legacy, compiled) {
 		t.Fatal("trace stream of the compiled split differs from the legacy filter's")
 	}
@@ -373,7 +374,7 @@ func TestRekeyOptionDefaults(t *testing.T) {
 	tr := trace.NewRecorder(3, obs.NewSink(&traceBuf)).Begin("rekey", 1, 0, "", nil)
 	for name, opts := range map[string]Options{
 		"zero mode":          {},
-		"zero mode parallel": {Parallelism: 8},
+		"zero mode parallel": {Pool: work.NewPool(8)},
 		"zero mode traced":   {Trace: tr},
 	} {
 		got, err := Rekey(w.dir, w.msg, opts)

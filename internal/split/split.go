@@ -29,6 +29,7 @@ import (
 	"tmesh/internal/overlay"
 	"tmesh/internal/tmesh"
 	"tmesh/internal/vnet"
+	"tmesh/internal/work"
 )
 
 // Mode selects how the rekey message is decomposed during multicast.
@@ -153,12 +154,12 @@ type Options struct {
 	// transport ever invokes delivery callbacks concurrently; arrival
 	// order itself is fixed by the deterministic simulation.
 	Collect bool
-	// Parallelism bounds the goroutines used to compile the message's
-	// split decisions into the per-subtree lookup index before the
-	// multicast starts (values <= 1 compile serially). The index
-	// contents are a pure function of (message, directory), so the
-	// transported bytes are identical at any parallelism.
-	Parallelism int
+	// Pool runs the compilation of the message's split decisions into
+	// the per-subtree lookup index before the multicast starts (nil
+	// compiles inline). The index contents are a pure function of
+	// (message, directory), so the transported bytes are identical at
+	// any pool width.
+	Pool *work.Pool
 	// Obs is the optional telemetry registry. When set, the transport
 	// counts split hops, the encryptions each hop forwards (the paper's
 	// Fig. 7 "encryption stress" as a live metric), and per-user
@@ -283,7 +284,7 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 			TraceItems:         EncIDs,
 		}
 		if opts.Mode == PerEncryption {
-			cfg.SplitHop = NewIndex(dir.Tree(), msg.Encryptions, opts.Parallelism).Split
+			cfg.SplitHop = NewIndex(dir.Tree(), msg.Encryptions, opts.Pool, nil).Split
 			if hopsC != nil {
 				inner := cfg.SplitHop
 				cfg.SplitHop = func(encs []keycrypt.Encryption, subtree ident.Prefix) []keycrypt.Encryption {
@@ -300,7 +301,7 @@ func Rekey(dir *overlay.Directory, msg *keytree.Message, opts Options) (*Report,
 		res, err = tmesh.Multicast(cfg, msg.Encryptions)
 	case PerPacket:
 		pkts := Packetize(msg.Encryptions, opts.PacketSize)
-		splitHop := NewPacketIndex(dir.Tree(), pkts, opts.Parallelism).Split
+		splitHop := NewPacketIndex(dir.Tree(), pkts, opts.Pool, nil).Split
 		if hopsC != nil {
 			inner := splitHop
 			splitHop = func(pkts []Packet, subtree ident.Prefix) []Packet {

@@ -7,6 +7,7 @@ import (
 
 	"tmesh/internal/obs"
 	"tmesh/internal/obs/trace"
+	"tmesh/internal/work"
 )
 
 // TestTraceMatchesDeliveries is the flight-recorder ground-truth
@@ -26,10 +27,10 @@ func TestTraceMatchesDeliveries(t *testing.T) {
 					tr.Member(id)
 				}
 				rep, err := Rekey(w.dir, w.msg, Options{
-					Mode:        PerEncryption,
-					Collect:     true,
-					Parallelism: par,
-					Trace:       tr,
+					Mode:    PerEncryption,
+					Collect: true,
+					Pool:    work.NewPool(par),
+					Trace:   tr,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -1,21 +1,25 @@
-// Package work provides the shared deterministic worker pool that a
-// grouphost injects into every core.Group it multiplexes, so G groups
-// rekeying over one topology share one set of regen/apply workers
-// instead of spawning G×Parallelism goroutines.
+// Package work is the tree's one CPU fan-out: every stage that spreads
+// independent units over goroutines — key regeneration across level-1
+// ID subtrees, keyring apply across members, split-index compilation,
+// the experiment runners — goes through Pool.Run. A grouphost injects
+// one shared pool into every core.Group it multiplexes, so G groups
+// rekeying over one topology draw on one set of W workers instead of
+// G×W.
 //
 // The pool preserves the repo's determinism contract: callers hand Run
 // a unit count and a worker body that claims unit indices from an
 // atomic cursor and writes only to disjoint, index-addressed slots.
 // Which goroutine executes which unit varies run to run; the units
 // executed and the slots written do not, so same-seed runs stay
-// byte-identical at any pool size — exactly the discipline the
-// keytree regen and store-apply stages already follow.
+// byte-identical at any pool size.
 //
-// Deadlock freedom: workers are persistent goroutines enlisted with a
-// non-blocking send, and the calling goroutine always participates in
-// its own Run. If every worker is busy (including the nested case of a
-// Run issued from inside a worker body), the call simply degrades to
-// inline execution — it never waits on pool capacity.
+// Deadlock freedom: a pool of width W holds W−1 helper tokens. Each Run
+// starts one short-lived helper goroutine per token it can claim
+// without blocking, and the calling goroutine always participates. If
+// every token is taken (including the nested case of a Run issued from
+// inside a worker body), the call simply degrades to inline execution —
+// it never waits on pool capacity. Helpers finish before Run returns, so
+// a pool owns no goroutines between calls and needs no lifecycle.
 package work
 
 import (
@@ -24,16 +28,14 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a fixed-size set of persistent worker goroutines shared by
-// any number of concurrent Run calls. A nil *Pool is valid and runs
-// everything inline (Workers() == 1), mirroring the nil-off-switch
-// convention of internal/obs.
+// Pool bounds the goroutines that any number of concurrent Run calls
+// occupy at once. A nil *Pool is valid and runs everything inline
+// (Workers() == 1), mirroring the nil-off-switch convention of
+// internal/obs.
 type Pool struct {
 	workers int
-	jobs    chan func()
-	done    chan struct{}
+	helpers chan struct{} // one token per helper goroutine in flight
 	closed  atomic.Bool
-	wg      sync.WaitGroup
 }
 
 // NewPool creates a pool with the given worker width. workers <= 0
@@ -43,27 +45,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, done: make(chan struct{})}
-	if workers > 1 {
-		// workers-1 helper goroutines: the caller of Run is always
-		// the last worker, so width W needs only W-1 helpers.
-		p.jobs = make(chan func())
-		p.wg.Add(workers - 1)
-		for i := 0; i < workers-1; i++ {
-			go func() {
-				defer p.wg.Done()
-				for {
-					select {
-					case job := <-p.jobs:
-						job()
-					case <-p.done:
-						return
-					}
-				}
-			}()
-		}
-	}
-	return p
+	return &Pool{workers: workers, helpers: make(chan struct{}, workers-1)}
 }
 
 // Workers returns the pool width: the maximum number of goroutines
@@ -75,37 +57,32 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Close stops the helper goroutines and waits for them to exit. Run
-// calls issued after Close execute inline. Close is idempotent.
+// Close makes every later Run execute inline. Runs already in progress
+// finish normally. Close is idempotent.
 func (p *Pool) Close() {
-	if p == nil || p.workers <= 1 {
-		return
+	if p != nil {
+		p.closed.Store(true)
 	}
-	if p.closed.CompareAndSwap(false, true) {
-		close(p.done)
-	}
-	p.wg.Wait()
 }
 
 // Run executes units work items. worker(slot, next) is invoked on up
 // to Workers() goroutines; each invocation must loop on next(), which
 // hands out unit indices [0, units) exactly once across all
 // invocations, and return when next reports done. slot is a dense
-// per-invocation index in [0, Workers()) for per-worker scratch.
+// per-invocation index in [0, Workers()) for per-worker scratch; slot 0
+// is always the caller's.
 //
-// The caller always participates, and helpers are enlisted with a
-// non-blocking send, so Run never waits on pool capacity: with all
-// helpers busy — including a nested Run from inside a worker body —
-// it degrades to inline execution on the caller alone.
+// Helpers are started only for tokens claimed without blocking, so Run
+// never waits on pool capacity: with all tokens taken — including a
+// nested Run from inside a worker body — it degrades to inline
+// execution on the caller alone. Every helper has returned its token
+// by the time Run returns.
 func (p *Pool) Run(units int, worker func(slot int, next func() (int, bool))) {
 	if units <= 0 {
 		return
 	}
-	width := p.Workers()
-	if width > units {
-		width = units
-	}
-	if p == nil || width <= 1 || p.closed.Load() {
+	width := min(p.Workers(), units)
+	if width <= 1 || p.closed.Load() {
 		runInline(units, worker)
 		return
 	}
@@ -117,27 +94,28 @@ func (p *Pool) Run(units int, worker func(slot int, next func() (int, bool))) {
 	}
 
 	var wg sync.WaitGroup
-	slot := 1 // slot 0 is the caller's
-	for ; slot < width; slot++ {
-		s := slot
+	for slot := 1; slot < width && p.claim(); slot++ {
 		wg.Add(1)
-		job := func() {
-			defer wg.Done()
-			worker(s, next)
-		}
-		enlisted := false
-		select {
-		case p.jobs <- job:
-			enlisted = true
-		default:
-		}
-		if !enlisted {
-			wg.Done()
-			break
-		}
+		go func(slot int) {
+			defer func() {
+				<-p.helpers
+				wg.Done()
+			}()
+			worker(slot, next)
+		}(slot)
 	}
 	worker(0, next)
 	wg.Wait()
+}
+
+// claim takes a helper token if one is free, without blocking.
+func (p *Pool) claim() bool {
+	select {
+	case p.helpers <- struct{}{}:
+		return true
+	default:
+		return false
+	}
 }
 
 func runInline(units int, worker func(slot int, next func() (int, bool))) {

@@ -2,9 +2,11 @@ package work
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fill runs units through the pool, each worker writing a
@@ -113,6 +115,59 @@ func TestConcurrentRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestNoHelperOutlivesRun pins the pool's lack of a lifecycle: a pool
+// that is never closed leaves no goroutine behind once Run returns.
+func TestNoHelperOutlivesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := NewPool(4)
+	for r := 0; r < 10; r++ {
+		fill(p, 256)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestConcurrentRunsShareHelperBudget runs 8 callers at once on a
+// width-3 pool: together they may occupy at most 2 helpers at any
+// moment, however many Runs overlap.
+func TestConcurrentRunsShareHelperBudget(t *testing.T) {
+	p := NewPool(3)
+	var active, peak atomic.Int64
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			p.Run(16, func(slot int, next func() (int, bool)) {
+				if slot > 0 {
+					n := active.Add(1)
+					for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+					}
+					defer active.Add(-1)
+				}
+				for {
+					if _, ok := next(); !ok {
+						return
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			})
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	if got := peak.Load(); got > 2 {
+		t.Fatalf("peak of %d helpers active on a width-3 pool, want <= 2", got)
+	}
 }
 
 func TestNilPoolAndEdgeCases(t *testing.T) {
